@@ -5,7 +5,10 @@ registers, the full memory image, PIC/PIT/RTC/UART/NIC/SCSI device
 state, disk overlays, the monitor's shadow state — into one sha256 hex
 string.  Unlike :func:`repro.core.snapshot.capture` it never refuses:
 digests are taken mid-flight (between host operations), so in-flight
-device state is part of what they attest.
+device state is part of what they attest.  The memory image goes in as
+:meth:`repro.hw.mem.PhysicalMemory.sha256_hex`, which hashes RAM in
+place and re-hashes only from the first chunk written since its last
+call.
 
 Host-side link state needs care: the recorder's client drains the
 target-to-host queue, but a replayer has no client, so ``a_to_b``
@@ -37,8 +40,7 @@ def _machine_state(machine, monitor=None) -> dict:
         "instret": cpu.instret,
         "cycle": cpu.cycle_count,
         "now": machine.queue.now,
-        "memory": hashlib.sha256(
-            machine.memory.read(0, machine.memory.size)).hexdigest(),
+        "memory": machine.memory.sha256_hex(),
         "pic": machine.pic.state(),
         "pit": machine.pit.state(),
         "rtc": machine.rtc.state(),
@@ -52,12 +54,7 @@ def _machine_state(machine, monitor=None) -> dict:
                       for k, v in sorted(machine.hba._sense.items())},
             "requests_started": machine.hba.requests_started,
         },
-        "disk_overlays": [
-            hashlib.sha256(
-                b"".join(struct_key(lba) + block
-                         for lba, block in sorted(disk._overlay.items()))
-            ).hexdigest()
-            for disk in machine.disks],
+        "disk_overlays": [_overlay_digest(disk) for disk in machine.disks],
     }
     if machine.nic is not None:
         state["nic"] = machine.nic.state()
@@ -82,6 +79,15 @@ def _machine_state(machine, monitor=None) -> dict:
 
 def struct_key(lba: int) -> bytes:
     return lba.to_bytes(8, "little")
+
+
+def _overlay_digest(disk) -> str:
+    """sha256 over the disk's written blocks, each prefixed by its LBA."""
+    digest = hashlib.sha256()
+    for lba, block in sorted(disk._overlay.items()):
+        digest.update(struct_key(lba))
+        digest.update(block)
+    return digest.hexdigest()
 
 
 def state_digest(machine, monitor=None,

@@ -2,6 +2,7 @@
 identical failure, detect deliberate divergence, and minimize."""
 
 import copy
+import hashlib
 import os
 
 import pytest
@@ -17,6 +18,7 @@ from repro.replay import (
     loads_journal,
     minimize_journal,
     replay_journal,
+    state_digest,
 )
 
 SEED = 1234
@@ -240,3 +242,62 @@ class TestGoldenJournal:
         with open(GOLDEN, "rb") as handle:
             golden = handle.read()
         assert fresh == golden
+
+
+#: Stores an incrementing counter to 40 pages on every pass.  The first
+#: store straddles the 64 KiB boundary at 0x410000 and every store
+#: straddles a 4 KiB page boundary, so each pass moves page generations
+#: in three digest chunks.
+STORE_GUEST = """loop:
+    MOVI R1, 0x40FFFE
+    MOVI R2, 40
+    ADDI R3, 7
+page:
+    ST   [R1+0], R3
+    ADDI R1, 4096
+    SUBI R2, 1
+    JNZ  page
+    JMP  loop"""
+
+
+def _full_copy_digest(machine, monitor):
+    """``state_digest`` with guest RAM hashed from a full ``read`` copy,
+    the way digests were computed before ``sha256_hex`` cached them."""
+    memory = machine.memory
+    memory.sha256_hex = lambda: hashlib.sha256(
+        memory.read(0, memory.size)).hexdigest()
+    try:
+        return state_digest(machine, monitor)
+    finally:
+        del memory.sha256_hex
+
+
+class TestDigestMatchesFullCopy:
+    def test_jit_stores_and_restore_keep_digest_exact(self):
+        from repro.core.snapshot import capture, restore
+        from repro.fleet.worker import ExecSlices
+        job = ExecSlices({"slices": 6, "slice_insns": 3000,
+                          "record": True, "guest_body": STORE_GUEST})
+        machine, monitor = job.machine, job.monitor
+        digests = []
+        snapshot = None
+        while not job.finished:
+            job.step()
+            digest = state_digest(machine, monitor)
+            assert digest == _full_copy_digest(machine, monitor)
+            assert digest not in digests
+            digests.append(digest)
+            if job.done == 2:
+                snapshot = capture(machine, monitor)
+                memory_at_capture = machine.memory.sha256_hex()
+        # The stores ran inside compiled superblocks.
+        assert machine.cpu.block_cache_stats()["hits"] > 0
+
+        restore(machine, snapshot, monitor)
+        assert machine.memory.sha256_hex() == memory_at_capture
+        assert state_digest(machine, monitor) \
+            == _full_copy_digest(machine, monitor)
+        monitor.stopped = False
+        monitor.run(3000)
+        assert state_digest(machine, monitor) \
+            == _full_copy_digest(machine, monitor)

@@ -1,10 +1,13 @@
-"""Property-based tests: paging, segmentation protection, cycle budget,
-and the event queue."""
+"""Property-based tests: the RAM digest, paging, segmentation
+protection, cycle budget, and the event queue."""
+
+import hashlib
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.hw.mem import PhysicalMemory
+from repro.hw.mem import DIGEST_CHUNK_SHIFT, GEN_PAGE_SHIFT, PhysicalMemory
 from repro.hw.paging import (
     PAGE_SIZE,
     Mmu,
@@ -18,6 +21,91 @@ from repro.sim.events import EventQueue
 from repro.vmm.protect import compress_descriptor, guest_can_reach
 
 import pytest
+
+
+CHUNK = 1 << DIGEST_CHUNK_SHIFT
+GEN_PAGE = 1 << GEN_PAGE_SHIFT
+#: Five whole digest chunks and a ragged tail that is not a whole page.
+RAM_SIZE = 5 * CHUNK + 3000
+
+#: Addresses anywhere, or within a few bytes of a page or chunk edge.
+_addresses = st.one_of(
+    st.integers(min_value=0, max_value=RAM_SIZE - 1),
+    st.builds(lambda edge, delta: edge * GEN_PAGE + delta,
+              st.integers(min_value=0, max_value=RAM_SIZE // GEN_PAGE),
+              st.integers(min_value=-4, max_value=3)),
+    st.builds(lambda edge, delta: edge * CHUNK + delta,
+              st.integers(min_value=0, max_value=RAM_SIZE // CHUNK),
+              st.integers(min_value=-4, max_value=3)))
+_lengths = st.one_of(st.integers(min_value=0, max_value=64),
+                     st.integers(min_value=0, max_value=CHUNK + GEN_PAGE))
+_memory_ops = st.one_of(
+    st.tuples(st.just("write"), _addresses, _lengths, st.integers()),
+    st.tuples(st.just("fill"), _addresses, _lengths,
+              st.integers(min_value=0, max_value=255)),
+    st.tuples(st.sampled_from(["u8", "u16", "u32"]), _addresses,
+              st.integers(min_value=0, max_value=0xFFFFFFFF)),
+    st.tuples(st.just("restore"), st.integers()),
+    st.tuples(st.just("digest")))
+
+
+def _apply(memory, op):
+    """Apply one generated operation, clamped to fit inside RAM."""
+    kind = op[0]
+    if kind == "write":
+        _, addr, length, seed = op
+        addr = max(0, min(addr, memory.size - length))
+        memory.write(addr, random.Random(seed).randbytes(length))
+    elif kind == "fill":
+        _, addr, length, value = op
+        addr = max(0, min(addr, memory.size - length))
+        memory.fill(addr, length, value)
+    elif kind in ("u8", "u16", "u32"):
+        _, addr, value = op
+        width = {"u8": 1, "u16": 2, "u32": 4}[kind]
+        addr = max(0, min(addr, memory.size - width))
+        getattr(memory, f"write_{kind}")(addr, value)
+    elif kind == "restore":
+        memory.write(0, random.Random(op[1]).randbytes(memory.size))
+
+
+def _full_copy_hex(memory):
+    return hashlib.sha256(memory.read(0, memory.size)).hexdigest()
+
+
+class TestRamDigestProperties:
+    @given(ops=st.lists(_memory_ops, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_digest_equals_hash_of_full_copy(self, ops):
+        memory = PhysicalMemory(RAM_SIZE)
+        for op in ops:
+            _apply(memory, op)
+            if op[0] == "digest":
+                assert memory.sha256_hex() == _full_copy_hex(memory)
+        assert memory.sha256_hex() == _full_copy_hex(memory)
+        assert memory.sha256_hex() == _full_copy_hex(memory)
+
+    @given(ops=st.lists(st.tuples(st.booleans(), _memory_ops), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_instances_never_share_a_cache(self, ops):
+        pair = (PhysicalMemory(RAM_SIZE), PhysicalMemory(RAM_SIZE))
+        for second, op in ops:
+            _apply(pair[second], op)
+            for memory in pair:
+                assert memory.sha256_hex() == _full_copy_hex(memory)
+
+    @given(addr=_addresses, length=_lengths, op=_memory_ops)
+    @settings(max_examples=100, deadline=None)
+    def test_read_is_an_independent_copy(self, addr, length, op):
+        memory = PhysicalMemory(RAM_SIZE)
+        _apply(memory, ("restore", 7))
+        addr = max(0, min(addr, RAM_SIZE - length))
+        before = memory.read(addr, length)
+        expected = bytes(bytearray(before))
+        _apply(memory, op)
+        memory.fill(0, RAM_SIZE, 0xA5)
+        assert type(before) is bytes
+        assert before == expected
 
 
 class TestSpanPages:
